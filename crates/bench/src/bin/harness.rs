@@ -153,7 +153,10 @@ fn e2() {
 
 /// E3 — Corollary 1: strongly-polynomial witness construction scaling.
 fn e3() {
-    header("E3", "Corollary 1 witness construction (flow) scaling");
+    header(
+        "E3",
+        "Corollary 1 witness construction (transportation sweep) scaling",
+    );
     println!(
         "{:>9} {:>12} {:>12} {:>12}",
         "support", "|J|", "witness", "time(ms)"
@@ -408,7 +411,7 @@ fn e9() {
     header("E9", "Minimal two-bag witnesses vs the Carathéodory bound");
     println!(
         "{:>9} {:>10} {:>10} {:>12} {:>12}",
-        "bound", "flow W", "minimal W", "middle edges", "time(ms)"
+        "bound", "sweep W", "minimal W", "middle edges", "time(ms)"
     );
     let mut rng = StdRng::seed_from_u64(9);
     let x = Schema::range(0, 2);
@@ -416,7 +419,7 @@ fn e9() {
     for exp in [3u32, 4, 5, 6, 7, 8] {
         let support = 1usize << exp;
         let (r, s) = planted_pair(&x, &y, (support as u64) / 2 + 2, support, 64, &mut rng).unwrap();
-        let flow_w = consistency_witness(&r, &s).unwrap().unwrap();
+        let sweep_w = consistency_witness(&r, &s).unwrap().unwrap();
         let join = bagcons_core::join::relation_join(&r.support(), &s.support());
         let t0 = Instant::now();
         let min_w = minimal_two_bag_witness(&r, &s).unwrap().unwrap();
@@ -426,7 +429,7 @@ fn e9() {
         println!(
             "{:>9} {:>10} {:>10} {:>12} {:>12.2}",
             bound,
-            flow_w.support_size(),
+            sweep_w.support_size(),
             min_w.support_size(),
             join.len(),
             dt

@@ -4,15 +4,21 @@
 //! builds a global witness by induction along a **running intersection
 //! ordering** `X₁,…,X_m`: `T₁ = R₁`, and `T_i` witnesses the consistency
 //! of `T_{i-1}` and `R_i` (which Lemma 2 guarantees exists, because
-//! `X_i ∩ (X₁∪⋯∪X_{i-1}) ⊆ X_j` for some earlier `j`). Theorem 6 runs the
+//! `X_i ∩ (X₁∪⋯∪X_{i-1}) ⊆ X_j` for some earlier `j`). Theorem 6 runs a
 //! **minimal** two-bag witness at every step (Corollary 4), giving the
 //! support bound `‖T‖supp ≤ Σ ‖R_i‖supp`.
+//!
+//! The default [`WitnessStrategy::Saturated`] step is the per-key
+//! transportation sweep of [`crate::pairwise::consistency_witness_with`]:
+//! one northwest-corner pass per step, no flow network and no max-flow.
+//! Its witnesses are already inclusion-minimal, so the chain meets the
+//! Theorem 6 bound too. [`WitnessStrategy::Minimal`] keeps the paper's
+//! literal Corollary 4 algorithm (`|J|+1` max-flows per step) for the
+//! experiments that measure it.
 
 use crate::minimal::minimal_two_bag_witness;
-use crate::pairwise::first_inconsistent_pair_with;
-use bagcons_core::exec::ScratchPool;
+use crate::pairwise::{consistency_witness_with, first_inconsistent_pair_with};
 use bagcons_core::{Bag, CoreError, ExecConfig, FxHashMap, Schema};
-use bagcons_flow::ConsistencyNetwork;
 use bagcons_hypergraph::{rip_order, Hypergraph};
 use std::fmt;
 
@@ -24,9 +30,6 @@ pub enum AcyclicError {
     NotAcyclic(Hypergraph),
     /// Bags at these indices are inconsistent (hence no global witness).
     InconsistentPair(usize, usize),
-    /// Two bags share a schema but differ (a special case of pairwise
-    /// inconsistency reported separately for clarity).
-    DuplicateSchemaMismatch(Schema),
     /// An underlying core operation failed.
     Core(CoreError),
 }
@@ -37,9 +40,6 @@ impl fmt::Display for AcyclicError {
             AcyclicError::NotAcyclic(h) => write!(f, "schema hypergraph is cyclic: {h}"),
             AcyclicError::InconsistentPair(i, j) => {
                 write!(f, "bags {i} and {j} are not consistent")
-            }
-            AcyclicError::DuplicateSchemaMismatch(s) => {
-                write!(f, "two distinct bags share schema {s}")
             }
             AcyclicError::Core(e) => write!(f, "{e}"),
         }
@@ -57,7 +57,10 @@ impl From<CoreError> for AcyclicError {
 /// Strategy for the per-step two-bag witness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum WitnessStrategy {
-    /// Any saturated flow (one max-flow per step). Theorem 3 bounds apply.
+    /// One northwest-corner transportation sweep per step (a saturated
+    /// flow of `N(T_{i-1}, R_i)` found without a max-flow). Each step's
+    /// witness is inclusion-minimal, so both Theorem 3's bounds and
+    /// Theorem 6's `‖T‖supp ≤ Σ ‖R_i‖supp` hold.
     #[default]
     Saturated,
     /// The minimal witness of Corollary 4 (`|J|+1` max-flows per step);
@@ -68,9 +71,8 @@ pub enum WitnessStrategy {
 /// Theorem 6: decides global consistency of pairwise consistent bags over
 /// an acyclic schema and constructs a witness, in polynomial time.
 ///
-/// Returns the witness bag over the union schema. With
-/// [`WitnessStrategy::Minimal`] the returned bag satisfies
-/// `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
+/// Returns the witness bag over the union schema; under either
+/// [`WitnessStrategy`] it satisfies `‖T‖supp ≤ Σ_i ‖R_i‖supp`.
 ///
 /// ```
 /// use bagcons::acyclic::acyclic_global_witness;
@@ -108,30 +110,18 @@ pub fn acyclic_global_witness_with(
 }
 
 /// [`acyclic_global_witness_with`] under an explicit execution
-/// configuration: the pairwise marginal checks and each saturated-flow
-/// network build along the chain shard across threads.
+/// configuration: the pairwise marginal checks and each transportation
+/// sweep along the chain shard across threads.
 pub fn acyclic_global_witness_exec(
     bags: &[&Bag],
     strategy: WitnessStrategy,
     exec: &ExecConfig,
 ) -> Result<Bag, AcyclicError> {
-    acyclic_global_witness_pooled(bags, strategy, exec, &ScratchPool::new())
-}
-
-/// [`acyclic_global_witness_exec`] drawing the chain's network-build
-/// scratch buffers from a caller-owned [`ScratchPool`] (the session
-/// facade passes its session-lifetime pool here).
-pub fn acyclic_global_witness_pooled(
-    bags: &[&Bag],
-    strategy: WitnessStrategy,
-    exec: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Bag, AcyclicError> {
     // 1. Pairwise consistency (necessary; sufficient by Theorem 2).
     if let Some((i, j)) = first_inconsistent_pair_with(bags, exec)? {
         return Err(AcyclicError::InconsistentPair(i, j));
     }
-    witness_chain(bags, strategy, exec, pool)
+    witness_chain(bags, strategy, exec)
 }
 
 /// The inductive chain of Theorem 6 *without* the pairwise pre-check:
@@ -142,7 +132,6 @@ pub(crate) fn witness_chain(
     bags: &[&Bag],
     strategy: WitnessStrategy,
     exec: &ExecConfig,
-    pool: &ScratchPool,
 ) -> Result<Bag, AcyclicError> {
     // 2. Deduplicate by schema: pairwise consistent bags with equal
     //    schemas are equal, so one representative suffices.
@@ -166,9 +155,7 @@ pub(crate) fn witness_chain(
     for x in &order[1..] {
         let r = by_schema[x];
         let next = match strategy {
-            WitnessStrategy::Saturated => {
-                ConsistencyNetwork::build_pooled_with(&t, r, exec, pool)?.solve_with(exec)
-            }
+            WitnessStrategy::Saturated => consistency_witness_with(&t, r, exec)?,
             WitnessStrategy::Minimal => minimal_two_bag_witness(&t, r)?,
         };
         t = next.expect(
@@ -210,9 +197,14 @@ mod tests {
     fn theorem6_support_bound() {
         let bags = path_bags();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
-        assert!(t.support_size() <= bound, "‖T‖supp ≤ Σ ‖R_i‖supp");
+        for strategy in [WitnessStrategy::Saturated, WitnessStrategy::Minimal] {
+            let t = acyclic_global_witness_with(&refs, strategy).unwrap();
+            assert!(
+                t.support_size() <= bound,
+                "{strategy:?}: ‖T‖supp ≤ Σ ‖R_i‖supp"
+            );
+        }
     }
 
     #[test]

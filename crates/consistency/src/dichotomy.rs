@@ -81,14 +81,14 @@ pub fn decide_global_consistency(
 
 /// [`decide_global_consistency`] under an explicit execution
 /// configuration: the polynomial path's pairwise checks and witness-chain
-/// network builds shard across threads. Delegates to the canonical
+/// transportation sweeps shard across threads. Delegates to the canonical
 /// dichotomy implementation behind [`crate::session::Session::check`].
 pub fn decide_global_consistency_exec(
     bags: &[&Bag],
     cfg: &SolverConfig,
     exec: &ExecConfig,
 ) -> Result<GcpbReport, CoreError> {
-    Ok(check_impl(bags, cfg, exec, &bagcons_core::exec::ScratchPool::new())?.into())
+    Ok(check_impl(bags, cfg, exec)?.into())
 }
 
 #[cfg(test)]

@@ -2,12 +2,18 @@
 //!
 //! Lemma 2 gives the polynomial decision procedure: `R(X)` and `S(Y)` are
 //! consistent iff `R[X∩Y] = S[X∩Y]`. Corollary 1 adds the
-//! strongly-polynomial witness construction via a saturated max-flow of
-//! `N(R,S)`.
+//! strongly-polynomial witness construction. The paper reads it off a
+//! saturated flow of `N(R,S)`; [`consistency_witness_with`] builds the
+//! same kind of witness without a max-flow. With `Z = X∩Y`, `N(R,S)`
+//! falls apart into one complete bipartite transportation problem per
+//! `Z`-value, and the northwest-corner rule solves each one in a single
+//! linear sweep. Each group's solution is a vertex solution with support
+//! `≤ |R'_g| + |S'_g| − 1`, so the witness meets Theorem 5's bound
+//! `‖T‖supp ≤ ‖R‖supp + ‖S‖supp` and is inclusion-minimal (Corollary 4).
 
-use bagcons_core::exec::ScratchPool;
-use bagcons_core::{Bag, CoreError, ExecConfig, Result, Schema};
-use bagcons_flow::ConsistencyNetwork;
+use bagcons_core::exec::{ShardRun, ShardedRowStore};
+use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
+use bagcons_core::{Bag, CoreError, ExecConfig, Result, Schema, Value};
 
 /// Lemma 2 (1)⟺(2): decides consistency of two bags by comparing the
 /// marginals on the common attributes.
@@ -45,9 +51,8 @@ pub fn bags_consistent_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<bool> 
     Ok(r.marginal_with(&z, cfg)? == s.marginal_with(&z, cfg)?)
 }
 
-/// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`
-/// (constructed from an integral saturated flow of `N(R,S)`), or `None`
-/// when the bags are inconsistent.
+/// Corollary 1: returns a bag `T(XY)` with `T[X] = R` and `T[Y] = S`,
+/// or `None` when the bags are inconsistent.
 ///
 /// ```
 /// use bagcons_core::{Bag, Schema};
@@ -68,32 +73,104 @@ pub fn consistency_witness(r: &Bag, s: &Bag) -> Result<Option<Bag>> {
 }
 
 /// [`consistency_witness`] under an explicit execution configuration:
-/// the marginal pre-check, the `N(R,S)` middle-edge build, and the
-/// witness's closing seal all run shard-parallel when `cfg` permits.
+/// one northwest-corner transportation sweep per common-key group.
+///
+/// Both sides are matched on `Z = X∩Y` through the key-range sharded
+/// sort-merge ([`try_merge_matching_pairs_sharded`]). Within a group the
+/// sweep pairs the current `R` row with the current `S` row at
+/// `min(remaining R, remaining S)` and advances whichever side is
+/// exhausted. Each shard fills a pre-hashed [`ShardRun`]; the runs splice
+/// in shard order and the witness leaves sealed, so it is bit-identical
+/// at every thread count. The sweep decides Lemma 2 as it goes: it ships
+/// all `‖R‖u` units exactly when every key group balances, so no
+/// separate marginal check runs.
+///
+/// The witness meets Theorem 3's multiplicity bound (every entry is at
+/// most `min(R(r), S(s))`) and Theorem 5's support bound, and its support
+/// is inclusion-minimal: the cells of each group form a spanning forest,
+/// on which the flow is unique.
+///
+/// # Errors
+///
+/// [`CoreError::Aborted`] when `cfg`'s deadline fires between shards or
+/// in the closing seal; [`CoreError::WorkerPanicked`] when a shard task
+/// panics.
 pub fn consistency_witness_with(r: &Bag, s: &Bag, cfg: &ExecConfig) -> Result<Option<Bag>> {
-    consistency_witness_pooled_with(r, s, cfg, &ScratchPool::new())
-}
-
-/// [`consistency_witness_with`] drawing the network build's scratch
-/// buffers from a caller-owned [`ScratchPool`] (the session facade
-/// passes its session-lifetime pool).
-pub fn consistency_witness_pooled_with(
-    r: &Bag,
-    s: &Bag,
-    cfg: &ExecConfig,
-    pool: &ScratchPool,
-) -> Result<Option<Bag>> {
-    // Cheap marginal pre-check avoids building the join for clearly
-    // inconsistent inputs; the flow solve re-verifies via saturation.
-    if !bags_consistent_with(r, s, cfg)? {
+    let total = r.unary_size();
+    if total != s.unary_size() {
         return Ok(None);
     }
-    let witness = ConsistencyNetwork::build_pooled_with(r, s, cfg, pool)?.solve_with(cfg);
-    debug_assert!(
-        witness.is_some(),
-        "Lemma 2: marginal equality implies a saturated flow"
+    let plan = JoinPlan::new(r.schema(), s.schema());
+    let r_rows = r.sorted_rows();
+    let s_rows = s.sorted_rows();
+    let z_of_r = r.schema().projection_indices(plan.common_schema())?;
+    let z_of_s = s.schema().projection_indices(plan.common_schema())?;
+    let arity = plan.output_schema().arity();
+    let shards =
+        try_merge_matching_pairs_sharded(&r_rows, &z_of_r, &s_rows, &z_of_s, cfg, |sweep| {
+            bagcons_core::fault::fire("witness::transport");
+            let mut run = ShardRun::new(arity);
+            let mut shipped: u128 = 0;
+            let mut row: Vec<Value> = Vec::with_capacity(arity);
+            sweep.for_each_group(|rs, ss| {
+                northwest_corner(&r_rows, rs, &s_rows, ss, |i, j, x| {
+                    plan.combine_into(r_rows[i].0, s_rows[j].0, &mut row);
+                    run.push(&row, x);
+                    shipped += u128::from(x);
+                });
+            });
+            (run, shipped)
+        })?;
+    if shards.iter().map(|(_, shipped)| shipped).sum::<u128>() != total {
+        // Some key group is unbalanced or on one side only.
+        return Ok(None);
+    }
+    let runs = shards.into_iter().map(|(run, _)| run).collect();
+    let mut witness = Bag::from_distinct_runs(
+        plan.output_schema().clone(),
+        ShardedRowStore::from_runs(arity, runs),
     );
-    Ok(witness)
+    witness.try_seal_with(cfg)?;
+    Ok(Some(witness))
+}
+
+/// The northwest-corner rule on one key group: `rs` and `ss` are
+/// positions into `r_rows` and `s_rows` of the group's rows. Ships
+/// `min(remaining R, remaining S)` from the current pair to `ship(i, j,
+/// units)` and advances whichever side ran dry (both on a tie), so at
+/// most `|rs| + |ss| − 1` cells are shipped, each with positive units.
+/// Stops when either side runs out; on an unbalanced group the other
+/// side keeps its remainder.
+fn northwest_corner(
+    r_rows: &[(&[Value], u64)],
+    rs: &[u32],
+    s_rows: &[(&[Value], u64)],
+    ss: &[u32],
+    mut ship: impl FnMut(usize, usize, u64),
+) {
+    let (mut a, mut b) = (0, 0);
+    let mut r_left = r_rows[rs[0] as usize].1;
+    let mut s_left = s_rows[ss[0] as usize].1;
+    loop {
+        let x = r_left.min(s_left);
+        ship(rs[a] as usize, ss[b] as usize, x);
+        r_left -= x;
+        s_left -= x;
+        if r_left == 0 {
+            a += 1;
+            if a == rs.len() {
+                break;
+            }
+            r_left = r_rows[rs[a] as usize].1;
+        }
+        if s_left == 0 {
+            b += 1;
+            if b == ss.len() {
+                break;
+            }
+            s_left = s_rows[ss[b] as usize].1;
+        }
+    }
 }
 
 /// True iff every two bags of the collection are consistent

@@ -45,7 +45,7 @@ use crate::global::{
 };
 use crate::lifting::LiftError;
 use crate::pairwise::{
-    bags_consistent_with, consistency_witness_pooled_with, first_inconsistent_pair_with,
+    bags_consistent_with, consistency_witness_with, first_inconsistent_pair_with,
 };
 use crate::reducer::{acyclic_join_with, naive_bag_semijoin_pooled_with, semijoin_pooled_with};
 use crate::report::{Json, Lemma2Report, Render};
@@ -1118,7 +1118,7 @@ impl Session {
     /// set — never an error, never a hang.
     pub fn check(&self, bags: &[&Bag]) -> Result<CheckOutcome, SessionError> {
         let (exec, solver) = self.arm();
-        Ok(check_impl(bags, &solver, &exec, &self.scratch)?)
+        Ok(check_impl(bags, &solver, &exec)?)
     }
 
     /// [`Session::check`] with the pairwise screen dispatched through
@@ -1155,7 +1155,7 @@ impl Session {
         F: FnOnce(&[PairJob], &ExecConfig) -> bagcons_core::Result<Vec<PairVerdict>>,
     {
         let (exec, solver) = self.arm();
-        Ok(check_via_impl(bags, &solver, &exec, &self.scratch, screen)?)
+        Ok(check_via_impl(bags, &solver, &exec, screen)?)
     }
 
     /// [`Session::check`], rendering the full witness bag when one
@@ -1163,7 +1163,7 @@ impl Session {
     pub fn witness(&self, bags: &[&Bag]) -> Result<WitnessOutcome, SessionError> {
         let (exec, solver) = self.arm();
         Ok(WitnessOutcome {
-            check: check_impl(bags, &solver, &exec, &self.scratch)?,
+            check: check_impl(bags, &solver, &exec)?,
         })
     }
 
@@ -1242,9 +1242,9 @@ impl Session {
         bags_consistent_with(r, s, &self.exec)
     }
 
-    /// Corollary 1: a two-bag witness via a saturated flow of `N(R,S)`.
+    /// Corollary 1: a two-bag witness by per-key transportation sweeps.
     pub fn consistency_witness(&self, r: &Bag, s: &Bag) -> bagcons_core::Result<Option<Bag>> {
-        consistency_witness_pooled_with(r, s, &self.exec, &self.scratch)
+        consistency_witness_with(r, s, &self.exec)
     }
 
     /// True iff every two bags of the collection are consistent.
@@ -1272,7 +1272,7 @@ impl Session {
         bags: &[&Bag],
         strategy: WitnessStrategy,
     ) -> Result<Bag, AcyclicError> {
-        crate::acyclic::acyclic_global_witness_pooled(bags, strategy, &self.exec, &self.scratch)
+        crate::acyclic::acyclic_global_witness_exec(bags, strategy, &self.exec)
     }
 
     /// The set-semantics semijoin `R ⋉ S`.
@@ -1335,7 +1335,6 @@ pub(crate) fn check_impl(
     bags: &[&Bag],
     solver: &SolverConfig,
     exec: &ExecConfig,
-    pool: &ScratchPool,
 ) -> bagcons_core::Result<CheckOutcome> {
     let mut stages = Vec::new();
     let t = Instant::now();
@@ -1356,7 +1355,7 @@ pub(crate) fn check_impl(
         if let Some((i, j)) = pair {
             return Ok(refuted_outcome(Branch::Acyclic, (i, j), stages));
         }
-        acyclic_witness_outcome(bags, exec, pool, stages)
+        acyclic_witness_outcome(bags, exec, stages)
     } else {
         cyclic_search_outcome(bags, solver, stages)
     }
@@ -1393,7 +1392,6 @@ pub(crate) fn check_via_impl<F>(
     bags: &[&Bag],
     solver: &SolverConfig,
     exec: &ExecConfig,
-    pool: &ScratchPool,
     screen: F,
 ) -> bagcons_core::Result<CheckOutcome>
 where
@@ -1436,7 +1434,7 @@ where
         return Ok(refuted_outcome(branch, (i, j), stages));
     }
     if acyclic {
-        acyclic_witness_outcome(bags, exec, pool, stages)
+        acyclic_witness_outcome(bags, exec, stages)
     } else {
         cyclic_search_outcome(bags, solver, stages)
     }
@@ -1460,11 +1458,10 @@ fn refuted_outcome(branch: Branch, pair: (usize, usize), stages: Vec<StageTiming
 fn acyclic_witness_outcome(
     bags: &[&Bag],
     exec: &ExecConfig,
-    pool: &ScratchPool,
     mut stages: Vec<StageTiming>,
 ) -> bagcons_core::Result<CheckOutcome> {
     let t = Instant::now();
-    let witness = match witness_chain(bags, WitnessStrategy::Saturated, exec, pool) {
+    let witness = match witness_chain(bags, WitnessStrategy::Saturated, exec) {
         Ok(w) => w,
         Err(AcyclicError::Core(CoreError::Aborted(reason))) => {
             push_stage(&mut stages, "witness", t);
@@ -1474,8 +1471,7 @@ fn acyclic_witness_outcome(
         Err(AcyclicError::NotAcyclic(h)) => {
             unreachable!("hypergraph {h} tested acyclic above")
         }
-        Err(e @ AcyclicError::InconsistentPair(..))
-        | Err(e @ AcyclicError::DuplicateSchemaMismatch(..)) => {
+        Err(e @ AcyclicError::InconsistentPair(..)) => {
             unreachable!("pairwise consistency established above: {e}")
         }
     };

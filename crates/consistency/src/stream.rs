@@ -774,7 +774,7 @@ impl ConsistencyStream {
         if self.witness.is_none() {
             let (exec, solver) = self.arm();
             let refs: Vec<&Bag> = self.bags.iter().map(|b| b.as_ref()).collect();
-            let out = check_impl(&refs, &solver, &exec, &self.scratch)?;
+            let out = check_impl(&refs, &solver, &exec)?;
             debug_assert!(
                 out.decision == Decision::Consistent || out.abort_reason.is_some(),
                 "a consistent stream state must re-verify (or abort)"

@@ -873,6 +873,29 @@ impl Bag {
         }
     }
 
+    /// Assembles a bag from per-shard output runs whose payloads are
+    /// multiplicities — the splice half of witness builders outside this
+    /// crate that fill [`ShardRun`]s on shard workers. Rows must be
+    /// globally distinct across runs (the
+    /// [`RowStore::push_unique_unchecked`] contract, debug-checked). Run
+    /// order fixes the arena layout; the bag is unsealed unless empty, and
+    /// [`Bag::seal_with`] then sorts it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run's arity differs from the schema's or a payload is
+    /// zero (the stored support holds positive multiplicities only).
+    pub fn from_distinct_runs(schema: Schema, sharded: ShardedRowStore) -> Bag {
+        for run in sharded.runs() {
+            assert_eq!(run.arity(), schema.arity(), "run arity mismatch");
+            assert!(
+                (0..run.len()).all(|i| run.payload(i) > 0),
+                "zero multiplicity in a support run"
+            );
+        }
+        Bag::from_shard_runs(schema, sharded, false)
+    }
+
     /// Reassembles a sealed bag from its persisted parts — the snapshot
     /// loading seam. `store` must already satisfy the sealed sorted-run
     /// invariant (certified by [`RowStore::from_sorted_rows`], not

@@ -2,9 +2,10 @@
 //!
 //! A **failpoint site** is a named call to [`fire`] placed on an
 //! interesting code path — inside a seal's shard task, a join's merge
-//! worker, the flow-network builder, the reaugment step, the stream
-//! update. Without the `fault-injection` feature every site compiles to
-//! an empty inlined function: zero overhead, nothing to configure.
+//! worker, the transportation-witness sweep, the flow-network builder,
+//! the reaugment step, the stream update. Without the `fault-injection`
+//! feature every site compiles to an empty inlined function: zero
+//! overhead, nothing to configure.
 //!
 //! With the feature enabled, a test can *arm* a site:
 //!
@@ -24,6 +25,7 @@
 //! | `bag::reseal_delta::merge` | [`crate::Bag::apply_delta_with`] fresh-tail merge task |
 //! | `join::merge::shard` | merge-join shard task ([`crate::join::bag_join_merge_with`]) |
 //! | `join::hash::shard` | hash-join probe shard task |
+//! | `witness::transport` | two-bag transportation-witness sweep shard (`bagcons::pairwise::consistency_witness_with`) |
 //! | `network::build` | flow-network middle-edge build shard |
 //! | `network::reaugment` | Dinic reaugmentation entry |
 //! | `stream::update` | consistency-stream update entry |

@@ -944,7 +944,9 @@ pub fn merge_matching_pairs(
 /// into contiguous key-range shards (no join group straddles a shard),
 /// `shard` runs once per shard — in parallel per `cfg` — and its outputs
 /// return in ascending key order. The flow-network builder assembles its
-/// per-shard edge buffers through this.
+/// per-shard edge buffers through this, and the two-bag transportation
+/// witness runs its per-group sweeps through it
+/// ([`PairSweep::for_each_group`]).
 ///
 /// Each shard receives a [`PairSweep`] that replays that shard's pairs
 /// with the same ordering guarantees as [`merge_matching_pairs`]; the
@@ -1071,6 +1073,21 @@ impl PairSweep<'_, '_> {
     /// Invokes `on_pair(i, j)` for every matching pair in this shard,
     /// grouped by ascending key, `i` then `j` ascending within a group.
     pub fn for_each(&self, mut on_pair: impl FnMut(usize, usize)) {
+        self.for_each_group(|left, right| {
+            for &a in left {
+                for &b in right {
+                    on_pair(a as usize, b as usize);
+                }
+            }
+        });
+    }
+
+    /// Invokes `on_group(left, right)` once per key present on both
+    /// sides of this shard, in ascending key order: `left` and `right`
+    /// list the positions (into the left and right row lists) of that
+    /// key's rows, each ascending. Keys on only one side are skipped.
+    /// Shards never split a key group, so a group arrives whole.
+    pub fn for_each_group(&self, mut on_group: impl FnMut(&[u32], &[u32])) {
         let k = self.keyed;
         let group_end = |rows: &[(&[Value], u64)], order: &[u32], idx: &[usize], start: usize| {
             let head = rows[order[start] as usize].0;
@@ -1093,11 +1110,7 @@ impl PairSweep<'_, '_> {
                     let i_end = group_end(k.left, &k.l_order, k.left_key, i).min(self.l_range.end);
                     let j_end =
                         group_end(k.right, &k.r_order, k.right_key, j).min(self.r_range.end);
-                    for &a in &k.l_order[i..i_end] {
-                        for &b in &k.r_order[j..j_end] {
-                            on_pair(a as usize, b as usize);
-                        }
-                    }
+                    on_group(&k.l_order[i..i_end], &k.r_order[j..j_end]);
                     i = i_end;
                     j = j_end;
                 }

@@ -85,10 +85,14 @@
 //!   permutation sorts via parallel chunk sorts plus pairwise sorted-run
 //!   merges ([`exec::parallel_sort_by`]), and the re-layout copies and
 //!   rehashes rows on shard workers;
+//! * **two-bag transportation witnesses**
+//!   (`bagcons::pairwise::consistency_witness_with`) — each key-range
+//!   shard runs the northwest-corner sweep over its key groups
+//!   ([`join::PairSweep::for_each_group`]), the pre-hashed runs splice in
+//!   shard order, and the witness leaves through the parallel seal;
 //! * **flow-network middle edges** (`ConsistencyNetwork::build_with` in
 //!   `bagcons-flow`) — per-shard edge buffers splice into the
-//!   network-local arena; its `solve_with` seals the witness through the
-//!   parallel seal.
+//!   network-local arena in the sequential emission order.
 //!
 //! Shard invariants, relied on everywhere: **a shard boundary never
 //! splits a key group** (boundaries slide forward to the next group

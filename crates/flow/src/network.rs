@@ -10,6 +10,15 @@
 //! `R` and `S` are consistent (Lemma 2), and an integral saturated flow
 //! *is* a witness bag: `T(t) = f(t[X], t[Y])`.
 //!
+//! Where networks are still built: the product witness paths no longer
+//! use them. Two-bag witnesses and the acyclic chain's default step
+//! come from per-key transportation sweeps
+//! (`bagcons::pairwise::consistency_witness_with`). `N(R,S)` remains the
+//! engine of the incremental stream's per-pair caches (warm-restart
+//! repair), the flow statement of the Lemma 2 report, the minimal-witness
+//! self-reduction of Corollary 4 (harness E5/E10), and the
+//! `bagcons-dist` worker screen.
+//!
 //! Implementation notes:
 //!
 //! * "Unbounded" middle capacities are realized as `min(R(r), S(s))` —

@@ -45,7 +45,8 @@ fn main() {
     assert!(consistent);
 
     // ---------------------------------------------------------------
-    // 3. Corollary 1: build an actual joint bag via max-flow.
+    // 3. Corollary 1: build an actual joint bag, one transportation
+    //    sweep per shared Dest value.
     // ---------------------------------------------------------------
     let joint = session
         .consistency_witness(&sold, &handled)

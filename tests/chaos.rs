@@ -234,9 +234,9 @@ proptest! {
     }
 }
 
-/// A worker panic inside the acyclic witness chain surfaces as
-/// `WorkerPanicked` from `Session::check`, and the same inputs re-check
-/// clean once disarmed.
+/// A worker panic inside the acyclic witness chain's transportation
+/// sweep surfaces as `WorkerPanicked` from `Session::check`, and the same
+/// inputs re-check clean once disarmed.
 #[test]
 fn worker_panic_in_check_is_typed_and_retryable() {
     let _serial = fault::test_lock();
@@ -249,16 +249,51 @@ fn worker_panic_in_check_is_typed_and_retryable() {
         let base = s.check(&refs).unwrap();
         assert_eq!(base.decision, Decision::Consistent);
 
-        fault::arm("network::build", FaultAction::Panic, 1);
+        fault::arm("witness::transport", FaultAction::Panic, 1);
         match s.check(&refs) {
             Err(SessionError::Core(CoreError::WorkerPanicked { message, .. })) => {
-                assert!(message.contains("network::build"), "message = {message:?}");
+                assert!(
+                    message.contains("witness::transport"),
+                    "message = {message:?}"
+                );
             }
             other => panic!("threads={threads}: expected WorkerPanicked, got {other:?}"),
         }
         fault::reset();
         let again = s.check(&refs).unwrap();
         assert_eq!(again.decision, base.decision, "threads={threads}");
+    }
+}
+
+/// An injected deadline inside the transportation sweep degrades
+/// `Session::check` to `Unknown` / `DeadlineExceeded` at the witness
+/// stage (the pairwise screen already passed), and the same inputs
+/// re-check clean once disarmed.
+#[test]
+fn injected_deadline_in_check_degrades_at_witness_stage() {
+    let _serial = fault::test_lock();
+    fault::reset();
+    for threads in THREADS {
+        let s = session(threads);
+        let bags = fixture();
+        let refs: Vec<&Bag> = bags.iter().collect();
+        let base = s.check(&refs).unwrap();
+
+        fault::arm("witness::transport", FaultAction::InjectDeadline, 1);
+        let out = s.check(&refs).unwrap();
+        assert_eq!(out.decision, Decision::Unknown, "threads={threads}");
+        assert_eq!(
+            out.abort_reason,
+            Some(AbortReason::DeadlineExceeded),
+            "threads={threads}"
+        );
+        assert!(out.witness.is_none(), "threads={threads}");
+        let last = out.stages.last().expect("stages recorded");
+        assert_eq!(last.stage, "witness", "threads={threads}");
+        fault::reset();
+        let again = s.check(&refs).unwrap();
+        assert_eq!(again.decision, base.decision, "threads={threads}");
+        assert_eq!(again.witness, base.witness, "threads={threads}");
     }
 }
 

@@ -108,21 +108,21 @@ fn theorem6_chain_bound_on_larger_acyclic_families() {
     for h in [path(6), star(5)] {
         let (bags, _) = planted_family(&h, 4, 50, 12, &mut rng).unwrap();
         let refs: Vec<&Bag> = bags.iter().collect();
-        let t = acyclic_global_witness_with(&refs, WitnessStrategy::Minimal).unwrap();
         let bound: usize = refs.iter().map(|b| b.support_size()).sum();
-        assert!(t.support_size() <= bound);
-        assert!(is_global_witness(&t, &refs).unwrap());
-        // Theorem 3(1): multiplicities bounded by the inputs' maximum
         let mu = refs.iter().map(|b| b.multiplicity_bound()).max().unwrap();
-        assert!(t.multiplicity_bound() <= mu);
+        for strategy in [WitnessStrategy::Saturated, WitnessStrategy::Minimal] {
+            let t = acyclic_global_witness_with(&refs, strategy).unwrap();
+            assert!(t.support_size() <= bound, "{strategy:?}: Theorem 6 bound");
+            assert!(is_global_witness(&t, &refs).unwrap());
+            // Theorem 3(1): multiplicities bounded by the inputs' maximum
+            assert!(t.multiplicity_bound() <= mu, "{strategy:?}");
+        }
     }
 }
 
 #[test]
 fn saturated_vs_minimal_strategy_support_comparison() {
-    // the minimal strategy never produces a larger witness than its bound
-    // and is never larger than the saturated strategy by more than the
-    // slack the bound allows
+    // both strategies produce global witnesses within Theorem 6's bound
     let mut rng = StdRng::seed_from_u64(321);
     let (bags, _) = planted_family(&path(5), 4, 40, 9, &mut rng).unwrap();
     let refs: Vec<&Bag> = bags.iter().collect();
@@ -132,4 +132,6 @@ fn saturated_vs_minimal_strategy_support_comparison() {
     assert!(is_global_witness(&min, &refs).unwrap());
     let bound: usize = refs.iter().map(|b| b.support_size()).sum();
     assert!(min.support_size() <= bound);
+    // the default strategy's transportation sweeps meet Theorem 6 too
+    assert!(sat.support_size() <= bound);
 }
