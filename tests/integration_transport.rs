@@ -214,26 +214,6 @@ proptest! {
 }
 
 #[test]
-fn section3_pair_witness_is_the_staircase() {
-    // One key group B = 0: R rows 2, 1 against S rows 1, 2. The sweep
-    // ships 1, then 1, then 1 — three cells, |R'| + |S'| − 1.
-    let r = Bag::from_u64s(schema(&[0, 1]), [(&[0u64, 0][..], 2), (&[1, 0][..], 1)]).unwrap();
-    let s = Bag::from_u64s(schema(&[1, 2]), [(&[0u64, 5][..], 1), (&[0, 6][..], 2)]).unwrap();
-    let t = witness_at_all_threads(&r, &s).unwrap();
-    let expected = Bag::from_u64s(
-        schema(&[0, 1, 2]),
-        [
-            (&[0u64, 0, 5][..], 1),
-            (&[0, 0, 6][..], 1),
-            (&[1, 0, 6][..], 1),
-        ],
-    )
-    .unwrap();
-    assert_eq!(t, expected);
-    assert_witness_properties(&t, &r, &s);
-}
-
-#[test]
 fn empty_bags_have_the_empty_witness() {
     let r = Bag::new(schema(&[0, 1]));
     let s = Bag::new(schema(&[1, 2]));
