@@ -1,6 +1,6 @@
 //! The line protocol shared by every delta-stream front end — one
-//! parser/renderer pair for the `watch` CLI loop, the `bagcons serve`
-//! daemon, and the `bagcons-dist` worker transport.
+//! parser/renderer pair for the `watch` CLI loop and the `bagcons serve`
+//! daemon.
 //!
 //! Before this module, delta-line handling (`parse_delta_line` plus the
 //! index range check and [`DeltaSet`] assembly), `err <kind>:` rendering,
@@ -10,14 +10,11 @@
 //!
 //! * [`parse_delta_edit`] — one delta line → a ready-to-apply
 //!   `(bag index, DeltaSet)` edit, with the range check every front end
-//!   was hand-rolling.
+//!   was hand-rolling; every error names its line once (`line N: …`).
 //! * [`decision_response`] / [`aborted_response`] — the `status=<code>`
 //!   text framing and the `"status":<code>` JSON splice over the
 //!   library's [`Render`] output (the CLI exit-code contract on a wire).
-//! * [`error_response`] / [`parse_error_line`] — the `err <kind>: <msg>`
-//!   shape, rendered *and* parsed here so a transport (the distributed
-//!   worker's `ERROR` frame) can carry the canonical line and the
-//!   receiving side can recover the kind without a second grammar.
+//! * [`error_response`] — the `err <kind>: <msg>` shape.
 //! * [`ok_response`] — the `ok <verb> k=v ...` acknowledgement shape.
 //!
 //! `crates/serve` re-exports these verbatim (its golden protocol tests
@@ -32,15 +29,17 @@ use std::sync::Arc;
 /// Parses one delta line (`<bag-index> <values...> : <±delta>`,
 /// `%`-comments, blank lines) against the stream's bags into a
 /// ready-to-apply edit. `Ok(None)` for lines that carry no delta; `Err`
-/// is the message to surface (`line_no` is echoed by the underlying
-/// parser). The bag-index range check and the schema-arity check (via
-/// [`DeltaSet::bump`]) both happen here, so every front end rejects the
-/// same malformed input with the same words.
+/// is the message to surface, and it always begins `line {line_no}: `
+/// exactly once, so front ends add only their own context (`watch`
+/// prints `stdin line N: …`). The bag-index range check and the
+/// schema-arity check (via [`DeltaSet::bump`]) both happen here, so
+/// every front end rejects the same malformed input with the same words.
 pub fn parse_delta_edit(
     line: &str,
     line_no: usize,
     bags: &[Arc<Bag>],
 ) -> Result<Option<(usize, DeltaSet)>, String> {
+    // `ParseError`'s line-bearing variants already render `line N: `.
     let (index, row, delta) = match bagcons_core::io::parse_delta_line(line, line_no) {
         Ok(Some(parsed)) => parsed,
         Ok(None) => return Ok(None),
@@ -48,12 +47,13 @@ pub fn parse_delta_edit(
     };
     let Some(bag) = bags.get(index) else {
         return Err(format!(
-            "bag index {index} out of range (0..{})",
+            "line {line_no}: bag index {index} out of range (0..{})",
             bags.len()
         ));
     };
     let mut set = DeltaSet::new(bag.schema().clone());
-    set.bump(row, delta).map_err(|e| e.to_string())?;
+    set.bump(row, delta)
+        .map_err(|e| format!("line {line_no}: {e}"))?;
     Ok(Some((index, set)))
 }
 
@@ -121,20 +121,6 @@ pub fn error_response(format: ReportFormat, kind: &str, message: &str) -> String
     }
 }
 
-/// Parses the canonical text error line back into `(kind, message)` —
-/// the inverse of [`error_response`] in [`ReportFormat::Text`]. The
-/// distributed worker transport ships its typed failures as exactly
-/// this line inside an `ERROR` frame; the coordinator recovers the kind
-/// here instead of growing a second error grammar.
-pub fn parse_error_line(line: &str) -> Option<(&str, &str)> {
-    let rest = line.strip_prefix("err ")?;
-    let (kind, msg) = rest.split_once(": ")?;
-    if kind.is_empty() || kind.contains(' ') {
-        return None;
-    }
-    Some((kind, msg))
-}
-
 /// Renders a non-decision success response (`ok <verb> k=v ...` in text;
 /// a `{"report":"ok","verb":...}` object in JSON, values as strings).
 pub fn ok_response(format: ReportFormat, verb: &str, fields: &[(&str, String)]) -> String {
@@ -186,14 +172,12 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         // Wrong arity surfaces from DeltaSet::bump.
         assert!(parse_delta_edit("0 1 : +1", 5, &bags).is_err());
-    }
-
-    #[test]
-    fn error_lines_round_trip() {
-        let line = error_response(ReportFormat::Text, "io", "no such file");
-        assert_eq!(line, "err io: no such file");
-        assert_eq!(parse_error_line(&line), Some(("io", "no such file")));
-        assert_eq!(parse_error_line("ok load"), None);
-        assert_eq!(parse_error_line("err malformed"), None);
+        // Every error names its line exactly once, whichever layer
+        // produced it: the line parser, the range check, or the bump.
+        for (line, no) in [("7 0 1 : +1", 4), ("0 1 : +1", 5), ("0 0 x : +1", 6)] {
+            let err = parse_delta_edit(line, no, &bags).unwrap_err();
+            assert!(err.starts_with(&format!("line {no}: ")), "{err}");
+            assert_eq!(err.matches("line ").count(), 1, "{err}");
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! and per-shard outputs concatenate into exactly the sequential result.
 //! This module provides the three pieces every parallel hot path shares:
 //!
-//! * [`ExecConfig`] — thread count and the sequential-fallback threshold.
+//! * [`ExecConfig`] — thread count (capped at [`ExecConfig::MAX_THREADS`])
+//!   and the sequential-fallback threshold.
 //!   `threads = 1` (or a support below [`ExecConfig::min_parallel_support`])
 //!   routes callers through their unchanged sequential code path, so the
 //!   parallel layer costs nothing when it cannot help.
@@ -44,7 +45,8 @@ use std::sync::Mutex;
 /// Configuration for shard-parallel execution.
 ///
 /// Constructed through [`ExecConfig::builder`] (which validates
-/// `threads >= 1` and `min_parallel_support >= 1` once, at build time) or
+/// `1 <= threads <= MAX_THREADS` and `min_parallel_support >= 1` once, at
+/// build time) or
 /// the const shorthands [`ExecConfig::sequential`] /
 /// [`ExecConfig::with_threads`]. The fields are private so every value in
 /// circulation satisfies those invariants; benchmarks and property tests
@@ -53,7 +55,8 @@ use std::sync::Mutex;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Maximum worker threads (and shards) per parallel operation.
-    /// `1` disables parallelism entirely. Invariant: `>= 1`.
+    /// `1` disables parallelism entirely. Invariant:
+    /// `1 ..= ExecConfig::MAX_THREADS`.
     pub(crate) threads: usize,
     /// Inputs with fewer items than this run sequentially even when
     /// `threads > 1`: below it, thread spawn + splice overhead outweighs
@@ -78,6 +81,12 @@ impl ExecConfig {
     /// bookkeeping; 4 keeps the per-chunk work large enough that the
     /// atomic-cursor claim is noise.
     pub const CHUNKS_PER_WORKER: usize = 4;
+
+    /// Largest accepted thread count. The executor spawns up to
+    /// `threads` OS threads per parallel operation and plans up to
+    /// `threads × CHUNKS_PER_WORKER` shards, so an unbounded count would
+    /// let one flag ask the OS for tens of thousands of threads.
+    pub const MAX_THREADS: usize = 256;
 
     /// Starts building a configuration; unset knobs take the defaults of
     /// [`ExecConfig::default`].
@@ -124,11 +133,13 @@ impl ExecConfig {
     ///
     /// # Panics
     ///
-    /// Panics on `threads == 0` — the same invariant
-    /// [`ExecConfigBuilder::build`] reports as [`CoreError::InvalidConfig`];
-    /// use the builder when the count is untrusted.
+    /// Panics on `threads == 0` or `threads > MAX_THREADS` — the same
+    /// invariant [`ExecConfigBuilder::build`] reports as
+    /// [`CoreError::InvalidConfig`]; use the builder when the count is
+    /// untrusted.
     pub const fn with_threads(threads: usize) -> Self {
         assert!(threads >= 1, "threads must be >= 1");
+        assert!(threads <= Self::MAX_THREADS, "threads must be <= 256");
         ExecConfig {
             threads,
             min_parallel_support: Self::DEFAULT_MIN_PARALLEL_SUPPORT,
@@ -179,8 +190,9 @@ impl fmt::Display for ExecConfig {
 /// Builder for [`ExecConfig`]; see [`ExecConfig::builder`].
 ///
 /// Validation happens once in [`ExecConfigBuilder::build`] — the
-/// executors and shard planners downstream can rely on `threads >= 1`
-/// and `min_parallel_support >= 1` instead of re-checking per call.
+/// executors and shard planners downstream can rely on
+/// `1 <= threads <= ExecConfig::MAX_THREADS` and
+/// `min_parallel_support >= 1` instead of re-checking per call.
 #[derive(Clone, Debug)]
 pub struct ExecConfigBuilder {
     threads: Option<usize>,
@@ -217,11 +229,15 @@ impl ExecConfigBuilder {
         self
     }
 
-    /// Validates and builds: `threads >= 1`, `min_parallel_support >= 1`.
+    /// Validates and builds: `1 <= threads <= ExecConfig::MAX_THREADS`,
+    /// `min_parallel_support >= 1`.
     pub fn build(self) -> Result<ExecConfig, CoreError> {
         let threads = self.threads.unwrap_or_else(default_threads);
         if threads == 0 {
             return Err(CoreError::InvalidConfig("threads must be >= 1"));
+        }
+        if threads > ExecConfig::MAX_THREADS {
+            return Err(CoreError::InvalidConfig("threads must be <= 256"));
         }
         if self.min_parallel_support == 0 {
             return Err(CoreError::InvalidConfig(
@@ -678,127 +694,6 @@ pub fn merge_sorted_runs_for_bench<T: Copy>(
     gallop: bool,
 ) -> Vec<T> {
     merge_sorted_runs_impl(a, b, cmp, gallop)
-}
-
-/// A session-lifetime pool of scratch buffers for the solve hot paths.
-///
-/// Each consistency solve used to allocate its working buffers — network
-/// row scratch, semijoin key arenas, lifting extension rows — from
-/// scratch and drop them on return. Repeated `check`/`witness`/stream
-/// updates through one session pay that allocator round-trip every time.
-/// The pool keeps the freed buffers instead: `take_*` pops a warm buffer
-/// (empty, but with its previous capacity), `put_*` clears and returns
-/// it. Misses fall back to `Vec::new`, so the pool is never required for
-/// correctness, only for reuse.
-///
-/// The pool is internally synchronized (shard workers check buffers in
-/// and out concurrently) and bounded: at most [`ScratchPool::MAX_RETAINED`]
-/// buffers per kind are retained in each shard, so one huge transient
-/// workload cannot pin its peak memory for the life of the session.
-///
-/// Internally the freelists are split across [`ScratchPool::SHARDS`]
-/// lock shards keyed by the calling thread, so many concurrent streams
-/// (the serving daemon routes every connection's session through one
-/// shared pool) don't serialize on a single mutex. A thread always
-/// returns buffers to the shard it took them from, which keeps the warm
-/// single-threaded hit rate identical to the unsharded pool.
-#[derive(Debug)]
-pub struct ScratchPool {
-    shards: [ScratchShard; ScratchPool::SHARDS],
-}
-
-#[derive(Debug, Default)]
-struct ScratchShard {
-    values: Mutex<Vec<Vec<Value>>>,
-    words: Mutex<Vec<Vec<u64>>>,
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        ScratchPool {
-            shards: std::array::from_fn(|_| ScratchShard::default()),
-        }
-    }
-}
-
-impl ScratchPool {
-    /// Retention cap per buffer kind *per shard*; see the type docs.
-    pub const MAX_RETAINED: usize = 32;
-
-    /// Number of internal lock shards (power of two).
-    pub const SHARDS: usize = 8;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// The shard serving the calling thread. The thread-id hash is
-    /// cached in a thread-local so steady-state take/put pairs cost one
-    /// `Cell` read, and a thread keeps hitting the same (warm) freelist.
-    fn shard(&self) -> &ScratchShard {
-        use std::hash::{Hash, Hasher};
-        thread_local! {
-            static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-        }
-        let idx = SHARD.with(|cached| {
-            let idx = cached.get();
-            if idx != usize::MAX {
-                return idx;
-            }
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            let idx = (h.finish() as usize) & (Self::SHARDS - 1);
-            cached.set(idx);
-            idx
-        });
-        &self.shards[idx]
-    }
-
-    /// Pops a pooled `Vec<Value>` scratch buffer (empty; warm capacity
-    /// if one was returned earlier), or a fresh one on a miss.
-    pub fn take_values(&self) -> Vec<Value> {
-        match self.shard().values.lock() {
-            Ok(mut pool) => pool.pop().unwrap_or_default(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Returns a `Vec<Value>` scratch buffer to the pool for reuse.
-    /// Zero-capacity buffers and overflow past the retention cap are
-    /// simply dropped.
-    pub fn put_values(&self, mut buf: Vec<Value>) {
-        buf.clear();
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Ok(mut pool) = self.shard().values.lock() {
-            if pool.len() < Self::MAX_RETAINED {
-                pool.push(buf);
-            }
-        }
-    }
-
-    /// Pops a pooled `Vec<u64>` scratch buffer, or a fresh one on a miss.
-    pub fn take_words(&self) -> Vec<u64> {
-        match self.shard().words.lock() {
-            Ok(mut pool) => pool.pop().unwrap_or_default(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Returns a `Vec<u64>` scratch buffer to the pool for reuse.
-    pub fn put_words(&self, mut buf: Vec<u64>) {
-        buf.clear();
-        if buf.capacity() == 0 {
-            return;
-        }
-        if let Ok(mut pool) = self.shard().words.lock() {
-            if pool.len() < Self::MAX_RETAINED {
-                pool.push(buf);
-            }
-        }
-    }
 }
 
 /// One shard's output: freshly assembled rows (flat, row-major) with
@@ -1269,57 +1164,22 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_reuses_capacity_and_bounds_retention() {
-        let pool = ScratchPool::new();
-        let mut buf = pool.take_values();
-        assert!(buf.is_empty());
-        buf.extend(v(&[1, 2, 3]));
-        let cap = buf.capacity();
-        pool.put_values(buf);
-        let warm = pool.take_values();
-        assert!(warm.is_empty());
-        assert_eq!(warm.capacity(), cap);
-        // Retention is bounded.
-        for _ in 0..2 * ScratchPool::MAX_RETAINED {
-            pool.put_words(Vec::with_capacity(8));
+    fn builder_refuses_thread_counts_outside_the_cap() {
+        // `build()` only validates; no thread starts here.
+        for bad in [0, ExecConfig::MAX_THREADS + 1, 100_000, usize::MAX] {
+            assert!(
+                matches!(
+                    ExecConfig::builder().threads(bad).build(),
+                    Err(CoreError::InvalidConfig(_))
+                ),
+                "threads = {bad}"
+            );
         }
-        let retained = (0..2 * ScratchPool::MAX_RETAINED)
-            .map(|_| pool.take_words())
-            .filter(|b| b.capacity() > 0)
-            .count();
-        assert!(retained <= ScratchPool::MAX_RETAINED);
-    }
-
-    #[test]
-    fn scratch_pool_shards_survive_concurrent_traffic() {
-        let pool = std::sync::Arc::new(ScratchPool::new());
-        let workers: Vec<_> = (0..4)
-            .map(|_| {
-                let pool = std::sync::Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        let mut buf = pool.take_values();
-                        assert!(buf.is_empty());
-                        buf.extend(v(&[1, 2]));
-                        pool.put_values(buf);
-                        let mut w = pool.take_words();
-                        w.push(7);
-                        pool.put_words(w);
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        // Same-thread warm reuse holds after concurrent traffic: a
-        // thread always returns to (and takes from) its own shard.
-        let mut buf = pool.take_values();
-        buf.clear();
-        buf.extend(v(&[1, 2, 3]));
-        let cap = buf.capacity();
-        pool.put_values(buf);
-        assert_eq!(pool.take_values().capacity(), cap);
+        let max = ExecConfig::builder()
+            .threads(ExecConfig::MAX_THREADS)
+            .build()
+            .unwrap();
+        assert_eq!(max.threads(), ExecConfig::MAX_THREADS);
     }
 
     #[test]

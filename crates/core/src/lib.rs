@@ -67,6 +67,9 @@
 //! cursor walks the chunk queue, and each worker claims the next chunk
 //! whenever it finishes one — so a skewed plan (one giant key group
 //! next to many tiny ones) no longer pins its cost to a single worker.
+//! [`ExecConfig`] is validated once, when built: at least one and at
+//! most [`ExecConfig::MAX_THREADS`] threads, so no configuration in
+//! circulation can ask the OS for an unbounded number of threads.
 //! The parallelized bulk paths:
 //!
 //! * **merge joins** ([`join::bag_join_merge_with`]) — the left side's

@@ -15,9 +15,8 @@
 //! come from per-key transportation sweeps
 //! (`bagcons::pairwise::consistency_witness_with`). `N(R,S)` remains the
 //! engine of the incremental stream's per-pair caches (warm-restart
-//! repair), the flow statement of the Lemma 2 report, the minimal-witness
-//! self-reduction of Corollary 4 (harness E5/E10), and the
-//! `bagcons-dist` worker screen.
+//! repair), the flow statement of the Lemma 2 report, and the
+//! minimal-witness self-reduction of Corollary 4 (harness E5/E10).
 //!
 //! Implementation notes:
 //!
@@ -35,7 +34,7 @@
 //!   building `N(R,S)` performs no per-tuple heap allocation.
 
 use crate::dinic::{EdgeId, FlowNetwork};
-use bagcons_core::exec::{ExecConfig, ScratchPool, ShardRun};
+use bagcons_core::exec::{ExecConfig, ShardRun};
 use bagcons_core::join::{try_merge_matching_pairs_sharded, JoinPlan};
 use bagcons_core::{Bag, CoreError, Result, RowId, RowStore, Schema, Value};
 
@@ -159,20 +158,6 @@ impl ConsistencyNetwork {
         Self::build_excluding_with(r, s, |_| false, cfg)
     }
 
-    /// [`ConsistencyNetwork::build_with`] drawing per-shard scratch
-    /// buffers from a caller-owned [`ScratchPool`] — sessions that
-    /// rebuild networks repeatedly (streams, self-reducible witness
-    /// search) reuse one set of allocations instead of reallocating per
-    /// build.
-    pub fn build_pooled_with(
-        r: &Bag,
-        s: &Bag,
-        cfg: &ExecConfig,
-        pool: &ScratchPool,
-    ) -> Result<Self> {
-        Self::build_excluding_pooled_with(r, s, |_| false, cfg, pool)
-    }
-
     /// Builds `N(R,S)` omitting middle edges whose `XY`-row satisfies
     /// `exclude` — the self-reducibility hook of Section 5.3.
     pub fn build_excluding(
@@ -198,19 +183,6 @@ impl ConsistencyNetwork {
         s: &Bag,
         exclude: impl Fn(&[Value]) -> bool + Sync,
         cfg: &ExecConfig,
-    ) -> Result<Self> {
-        Self::build_excluding_pooled_with(r, s, exclude, cfg, &ScratchPool::new())
-    }
-
-    /// [`ConsistencyNetwork::build_excluding_with`] drawing per-shard
-    /// row-assembly buffers from `pool` and returning them when the
-    /// build completes.
-    pub fn build_excluding_pooled_with(
-        r: &Bag,
-        s: &Bag,
-        exclude: impl Fn(&[Value]) -> bool + Sync,
-        cfg: &ExecConfig,
-        pool: &ScratchPool,
     ) -> Result<Self> {
         let plan = JoinPlan::new(r.schema(), s.schema());
         let r_rows = r.sorted_rows();
@@ -264,8 +236,7 @@ impl ConsistencyNetwork {
                     pairs: Vec::new(),
                     run: ShardRun::new(out_schema.arity()),
                 };
-                let mut scratch = pool.take_values();
-                scratch.reserve(out_schema.arity());
+                let mut scratch = Vec::with_capacity(out_schema.arity());
                 sweep.for_each(|i, j| {
                     let (r_row, rm) = r_rows[i];
                     let (s_row, sm) = s_rows[j];
@@ -276,7 +247,6 @@ impl ConsistencyNetwork {
                     buf.run.push(&scratch, rm.min(sm));
                     buf.pairs.push((i as u32, j as u32));
                 });
-                pool.put_values(scratch);
                 buf
             })?;
 
@@ -884,30 +854,6 @@ mod tests {
             }
         }
         check_warm_restart(&mut r, &mut s, &edits);
-    }
-
-    #[test]
-    fn pooled_build_reuses_scratch_and_matches_plain_build() {
-        let mut r = Bag::new(schema(&[0, 1]));
-        let mut s = Bag::new(schema(&[1, 2]));
-        for i in 0..80u64 {
-            r.insert(vec![Value(i % 9), Value(i % 4)], i % 5 + 1)
-                .unwrap();
-            s.insert(vec![Value(i % 4), Value(i % 7)], i % 3 + 1)
-                .unwrap();
-        }
-        let plain = ConsistencyNetwork::build(&r, &s).unwrap();
-        let plain_rows: Vec<Vec<Value>> = plain.middle_rows().map(|row| row.to_vec()).collect();
-        let plain_witness = plain.solve();
-        let pool = ScratchPool::new();
-        let cfg = ExecConfig::sequential();
-        for round in 0..3 {
-            let pooled = ConsistencyNetwork::build_pooled_with(&r, &s, &cfg, &pool).unwrap();
-            let pooled_rows: Vec<Vec<Value>> =
-                pooled.middle_rows().map(|row| row.to_vec()).collect();
-            assert_eq!(pooled_rows, plain_rows, "round {round}");
-            assert_eq!(pooled.solve(), plain_witness, "round {round}");
-        }
     }
 
     #[test]

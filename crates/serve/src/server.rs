@@ -14,7 +14,6 @@ use crate::registry::{Dataset, Registry};
 use bagcons::report::ReportFormat;
 use bagcons::session::{Session, SessionError};
 use bagcons::stream::ConsistencyStream;
-use bagcons_core::exec::ScratchPool;
 use bagcons_core::{AttrNames, Bag, DeltaSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -60,15 +59,6 @@ pub struct ServeOptions {
     /// default) trusts paths as before, for operator-driven deployments.
     /// Operator preloads ([`Server::preload`]) always bypass the check.
     pub data_dir: Option<PathBuf>,
-    /// Worker processes for the distributed pairwise screen (0 = all
-    /// local). When set, the daemon owns one [`bagcons_dist::WorkerPool`]
-    /// shared by every connection: `open`/`sync` screen the pair graph
-    /// across workers and import the warm flow columns into the
-    /// incremental stream.
-    pub workers: usize,
-    /// Worker binary for the pool (`None`: `BAGCONS_WORKER_BIN`, then
-    /// the current executable when it is the `bagcons` CLI).
-    pub worker_bin: Option<PathBuf>,
 }
 
 impl Default for ServeOptions {
@@ -82,8 +72,6 @@ impl Default for ServeOptions {
             worker_budget: None,
             max_connections: 64,
             data_dir: None,
-            workers: 0,
-            worker_bin: None,
         }
     }
 }
@@ -161,15 +149,26 @@ struct Shared {
     /// One loader for all datasets so attribute names intern identically
     /// across files loaded by different connections.
     loader: Mutex<Session>,
-    /// One sharded scratch pool for every connection's session.
-    scratch: Arc<ScratchPool>,
     budget: WorkerBudget,
-    /// Worker-process pool for the distributed pairwise screen
-    /// (`--workers N`); `None` keeps every solve in-process.
-    dist: Option<bagcons_dist::WorkerPool>,
     shutdown: AtomicBool,
     connections: AtomicUsize,
     opts: ServeOptions,
+}
+
+/// A session under the daemon's options (`threads`, `budget`) with
+/// `timeout` as its per-operation deadline.
+fn session_for(opts: &ServeOptions, timeout: Option<Duration>) -> Result<Session, SessionError> {
+    let mut b = Session::builder();
+    if let Some(threads) = opts.threads {
+        b = b.threads(threads);
+    }
+    if let Some(nodes) = opts.budget {
+        b = b.budget(nodes);
+    }
+    if let Some(t) = timeout {
+        b = b.deadline(t);
+    }
+    Ok(b.build()?)
 }
 
 /// Typed path-authorization failure: a policy violation is a usage
@@ -184,21 +183,6 @@ enum AuthError {
 impl Shared {
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
-    }
-
-    /// A per-connection session drawing on the shared scratch pool.
-    fn build_session(&self, timeout: Option<Duration>) -> Result<Session, SessionError> {
-        let mut b = Session::builder().scratch(Arc::clone(&self.scratch));
-        if let Some(threads) = self.opts.threads {
-            b = b.threads(threads);
-        }
-        if let Some(nodes) = self.opts.budget {
-            b = b.budget(nodes);
-        }
-        if let Some(t) = timeout {
-            b = b.deadline(t);
-        }
-        Ok(b.build()?)
     }
 
     /// Resolves a client-supplied path against the `--data-dir`
@@ -255,19 +239,6 @@ impl Shared {
             return Err(AuthError::Usage(format!("{raw:?} escapes the data dir")));
         }
         Ok(real)
-    }
-
-    /// Runs the distributed pairwise screen for a stream open, returning
-    /// the warm flow columns to resume from — or `None` when there is no
-    /// pool or the screen failed (the caller opens cold; degradation is
-    /// never an error).
-    fn warm_columns(&self, session: &Session, bags: &[Arc<Bag>]) -> Option<Vec<Option<Vec<u64>>>> {
-        let pool = self.dist.as_ref()?;
-        let refs: Vec<&Bag> = bags.iter().map(|b| b.as_ref()).collect();
-        match pool.warm_screen(session, &refs) {
-            Ok(out) => Some(out.warm),
-            Err(_) => None,
-        }
     }
 
     /// Loads dataset files through the shared loader — text bags parse
@@ -496,7 +467,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
         }
         Command::Timeout(t) => {
             conn.timeout = t;
-            match shared.build_session(t) {
+            match session_for(&shared.opts, t) {
                 Ok(s) => conn.session = s,
                 Err(e) => return err("internal", &e.to_string()),
             }
@@ -589,16 +560,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             };
             let generation = dataset.current();
             let _permit = shared.budget.acquire();
-            // With a worker pool, screen the pair graph across processes
-            // and open the stream from the warm flow columns; without
-            // one (or if the screen degrades), open cold.
-            let opened = match shared.warm_columns(&conn.session, &generation.bags) {
-                Some(warm) => conn
-                    .session
-                    .open_stream_resumed(generation.bags.clone(), &warm),
-                None => conn.session.open_stream_shared(generation.bags.clone()),
-            };
-            match opened {
+            match conn.session.open_stream_shared(generation.bags.clone()) {
                 Ok(stream) => {
                     let reply = protocol::ok_response(
                         fmt,
@@ -629,13 +591,7 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             };
             let generation = open.dataset.current();
             let _permit = shared.budget.acquire();
-            let opened = match shared.warm_columns(&conn.session, &generation.bags) {
-                Some(warm) => conn
-                    .session
-                    .open_stream_resumed(generation.bags.clone(), &warm),
-                None => conn.session.open_stream_shared(generation.bags.clone()),
-            };
-            match opened {
+            match conn.session.open_stream_shared(generation.bags.clone()) {
                 Ok(stream) => {
                     open.parent_seq = generation.seq;
                     open.stream = stream;
@@ -728,9 +684,9 @@ fn handle_command(conn: &mut Conn, shared: &Shared, cmd: Command) -> Action {
             let Some(open) = conn.open.as_mut() else {
                 return err("usage", "no open session (use `open <dataset>`)");
             };
-            // One shared grammar with the `watch` CLI and the worker
-            // transport: parsing, the bag-index range check, and the
-            // DeltaSet assembly all live in `bagcons::protocol`.
+            // One shared grammar with the `watch` CLI: parsing, the
+            // bag-index range check, and the DeltaSet assembly all live
+            // in `bagcons::protocol`.
             let (index, set) = match bagcons::protocol::parse_delta_edit(
                 &raw,
                 conn.requests,
@@ -817,10 +773,13 @@ fn handle_line(conn: &mut Conn, shared: &Shared, line: &str) -> Action {
 fn serve_connection(shared: Arc<Shared>, stream: ClientStream) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let Ok(mut writer) = stream.try_clone() else {
+        shared.connections.fetch_sub(1, Ordering::SeqCst);
         return;
     };
     let mut reader = LineReader::new(stream);
-    let mut conn = match shared.build_session(shared.opts.timeout) {
+    // `Server::bind` already built a session from these options, so this
+    // cannot fail; answer rather than reset the client if it ever does.
+    let mut conn = match session_for(&shared.opts, shared.opts.timeout) {
         Ok(session) => Conn {
             session,
             format: ReportFormat::Text,
@@ -830,7 +789,14 @@ fn serve_connection(shared: Arc<Shared>, stream: ClientStream) {
             names: AttrNames::new(),
             requests: 0,
         },
-        Err(_) => return,
+        Err(e) => {
+            let mut reply =
+                protocol::error_response(ReportFormat::Text, "internal", &e.to_string());
+            reply.push('\n');
+            let _ = writer.write_all(reply.as_bytes());
+            shared.connections.fetch_sub(1, Ordering::SeqCst);
+            return;
+        }
     };
     while let Ok(Some(line)) = reader.next_line(&shared) {
         // Containment: a panic inside one request (e.g. an armed
@@ -924,7 +890,14 @@ impl Server {
     /// Binds the configured listeners (at least one of `tcp`/`unix` must
     /// be set) and builds the shared state; serving starts with
     /// [`Server::run`].
+    ///
+    /// Options are validated first, by building the dataset loader's
+    /// session from them: a configuration no connection session could
+    /// run under (say `threads: Some(0)`) fails here with
+    /// [`io::ErrorKind::InvalidInput`], before any socket is claimed.
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
+        let loader = session_for(&opts, opts.timeout)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let mut listeners = Vec::new();
         let mut tcp_addr = None;
         let mut unix_path = None;
@@ -953,25 +926,6 @@ impl Server {
         let worker_budget = opts
             .worker_budget
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()));
-        let loader = Session::builder()
-            .build()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let scratch = Arc::new(ScratchPool::new());
-        let dist = if opts.workers > 0 {
-            let mut cluster = bagcons_dist::ClusterConfig::builder().workers(opts.workers);
-            if let Some(threads) = opts.threads {
-                cluster = cluster.threads(threads);
-            }
-            if let Some(bin) = &opts.worker_bin {
-                cluster = cluster.worker_bin(bin.clone());
-            }
-            if let Some(t) = opts.timeout {
-                cluster = cluster.worker_deadline(t);
-            }
-            Some(bagcons_dist::WorkerPool::new(cluster.build()))
-        } else {
-            None
-        };
         Ok(Server {
             listeners,
             tcp_addr,
@@ -979,9 +933,7 @@ impl Server {
             shared: Arc::new(Shared {
                 registry: Registry::new(),
                 loader: Mutex::new(loader),
-                scratch,
                 budget: WorkerBudget::new(worker_budget),
-                dist,
                 shutdown: AtomicBool::new(false),
                 connections: AtomicUsize::new(0),
                 opts,

@@ -432,6 +432,23 @@ fn exit_codes_cover_all_four() {
         run(&["frobnicate", r.to_str().unwrap()]).status.code(),
         Some(2)
     );
+    // A thread count past the cap, the removed worker-process flag and
+    // subcommand, and a daemon whose sessions could never build are all
+    // refused before any work starts. The 2-row inputs never shard, so
+    // no thread starts even without the cap.
+    let (r, s) = (r.to_str().unwrap(), s.to_str().unwrap());
+    for args in [
+        vec!["check", "--threads", "100000", r, s],
+        vec!["check", "--workers", "2", r, s],
+        vec!["worker", r, s],
+        vec!["serve", "--threads", "0"],
+    ] {
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not start listening");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -775,7 +792,16 @@ fn watch_rejects_bad_delta_lines() {
             .unwrap();
         let out = child.wait_with_output().unwrap();
         assert_eq!(out.status.code(), Some(2), "input {bad:?} must fail");
-        assert!(!out.stderr.is_empty());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: stdin line 1: "),
+            "input {bad:?}: {stderr}"
+        );
+        assert_eq!(
+            stderr.matches("line 1").count(),
+            1,
+            "input {bad:?} names its line once: {stderr}"
+        );
     }
 }
 

@@ -520,6 +520,21 @@ fn default_options_bind_loopback() {
     assert!(opts.unix.is_none());
 }
 
+/// Options no connection session could run under are refused at bind
+/// (before any socket is claimed), not by resetting every client.
+#[test]
+fn bind_refuses_invalid_session_options() {
+    for threads in [0, 100_000] {
+        let err = bagcons_serve::Server::bind(ServeOptions {
+            threads: Some(threads),
+            ..Default::default()
+        })
+        .err()
+        .expect("invalid thread count must not bind");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
+}
+
 /// Writes the fixture as one sealed two-bag snapshot file, returning
 /// its path.
 fn write_snapshot_fixture(dir: &Path) -> String {
